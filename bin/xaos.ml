@@ -782,19 +782,46 @@ let report_validate_cmd path =
       (List.length r.Xaos_obs.Report.snapshots)
       (List.length r.Xaos_obs.Report.tables)
 
-(* Stats where a larger value is a regression: timings, space, GC churn.
+(* The one place a report stat gets its direction. Throughput
+   ([*_per_s]) and speedups regress when they drop; timings ([*_s]),
+   space ([*_bytes], [*peak*]) and GC churn ([*_words]) when they grow.
    Monotone work counters (events, propagations) legitimately grow with
    the workload and are reported but never fail the diff. *)
-let worse_when_larger name =
+type direction = Lower_is_better | Higher_is_better | Ungated
+
+let direction name =
   let contains s sub =
     let n = String.length s and m = String.length sub in
     let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
     at 0
   in
-  String.ends_with ~suffix:"_s" name
-  || String.ends_with ~suffix:"_bytes" name
-  || String.ends_with ~suffix:"_words" name
-  || contains name "peak"
+  if String.ends_with ~suffix:"_per_s" name || contains name "speedup" then
+    Higher_is_better
+  else if
+    String.ends_with ~suffix:"_s" name
+    || String.ends_with ~suffix:"_bytes" name
+    || String.ends_with ~suffix:"_words" name
+    || contains name "peak"
+  then Lower_is_better
+  else Ungated
+
+(* Print one diff row and record [name] in [regressions] when it moved
+   the wrong way by more than [threshold_pct] percent. *)
+let diff_row ~threshold_pct regressions dir name ov nv =
+  let pct =
+    if ov <> 0. then Some ((nv -. ov) /. Float.abs ov *. 100.) else None
+  in
+  let regressed =
+    match (dir, pct) with
+    | Ungated, _ | Higher_is_better, None -> false
+    | Lower_is_better, Some pct -> pct > threshold_pct
+    | Lower_is_better, None -> nv > 0.
+    | Higher_is_better, Some pct -> pct < -.threshold_pct
+  in
+  if regressed then regressions := name :: !regressions;
+  Format.printf "%-28s %14g %14g %9s%%%s@." name ov nv
+    (match pct with Some pct -> Printf.sprintf "%+.1f" pct | None -> "n/a")
+    (if regressed then "  !" else "")
 
 let report_diff_cmd old_path new_path threshold_pct =
   let load path =
@@ -815,23 +842,7 @@ let report_diff_cmd old_path new_path threshold_pct =
       match List.assoc_opt name new_stats with
       | None -> Format.printf "%-28s %14g %14s@." name ov "(dropped)"
       | Some nv ->
-        let pct =
-          if ov <> 0. then Some ((nv -. ov) /. Float.abs ov *. 100.)
-          else None
-        in
-        let regressed =
-          worse_when_larger name
-          &&
-          match pct with
-          | Some pct -> pct > threshold_pct
-          | None -> nv > 0.
-        in
-        if regressed then regressions := name :: !regressions;
-        Format.printf "%-28s %14g %14g %9s%%%s@." name ov nv
-          (match pct with
-          | Some pct -> Printf.sprintf "%+.1f" pct
-          | None -> "n/a")
-          (if regressed then "  !" else ""))
+        diff_row ~threshold_pct regressions (direction name) name ov nv)
     old_stats;
   List.iter
     (fun (name, nv) ->
@@ -865,24 +876,10 @@ let report_diff_cmd old_path new_path threshold_pct =
               let name =
                 os.Xaos_obs.Histogram.s_name ^ "_" ^ q ^ unit_suffix
               in
-              if not (List.mem_assoc name old_stats) then begin
-                let pct =
-                  if ov <> 0. then Some ((nv -. ov) /. Float.abs ov *. 100.)
-                  else None
-                in
-                let regressed =
-                  (* latency: larger is always worse *)
-                  match pct with
-                  | Some pct -> pct > threshold_pct
-                  | None -> nv > 0.
-                in
-                if regressed then regressions := name :: !regressions;
-                Format.printf "%-28s %14g %14g %9s%%%s@." name ov nv
-                  (match pct with
-                  | Some pct -> Printf.sprintf "%+.1f" pct
-                  | None -> "n/a")
-                  (if regressed then "  !" else "")
-              end)
+              if not (List.mem_assoc name old_stats) then
+                (* latency: larger is always worse *)
+                diff_row ~threshold_pct regressions Lower_is_better name ov
+                  nv)
             [ ("p50", os.Xaos_obs.Histogram.s_p50, ns.Xaos_obs.Histogram.s_p50);
               ("p99", os.Xaos_obs.Histogram.s_p99, ns.Xaos_obs.Histogram.s_p99)
             ])
@@ -906,23 +903,7 @@ let report_diff_cmd old_path new_path threshold_pct =
     let open Xaos_obs.Report in
     List.iter
       (fun (name, ov, nv) ->
-        let pct =
-          if ov <> 0. then Some ((nv -. ov) /. Float.abs ov *. 100.)
-          else None
-        in
-        let regressed =
-          worse_when_larger name
-          &&
-          match pct with
-          | Some pct -> pct > threshold_pct
-          | None -> nv > 0.
-        in
-        if regressed then regressions := name :: !regressions;
-        Format.printf "%-28s %14g %14g %9s%%%s@." name ov nv
-          (match pct with
-          | Some pct -> Printf.sprintf "%+.1f" pct
-          | None -> "n/a")
-          (if regressed then "  !" else ""))
+        diff_row ~threshold_pct regressions (direction name) name ov nv)
       [ ("attribution/subscriptions",
          float_of_int oa.at_subscriptions,
          float_of_int na.at_subscriptions);
@@ -958,7 +939,8 @@ let report_command =
     Arg.(value & opt float 10.
          & info [ "threshold-pct" ] ~docv:"PCT"
              ~doc:"Regression tolerance: fail when a timing/space stat \
-                   grows by more than $(docv) percent (default 10).")
+                   grows, or a throughput/speedup stat drops, by more \
+                   than $(docv) percent (default 10).")
   in
   Cmd.group
     (Cmd.info "report" ~doc:"Machine-readable run reports")

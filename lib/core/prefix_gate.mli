@@ -11,10 +11,29 @@
     many payloads hang off them — the YFilter scalability property.
 
     {!Query_set} uses this as the dispatch front-end for whole-query-set
-    compaction: payloads are equivalence-class keys (see
+    compaction: payloads are dense equivalence-class indices (see
     {!Query.class_key}), class engines stay dormant until the gate
     accepts one of their {!Query.gate_prefixes}, and are then attached
-    mid-document through the open-chain replay machinery. *)
+    mid-document through the open-chain replay machinery.
+
+    {b Cost model.} Transitions are indexed by symbol: a start element
+    costs O(active states) hashed integer lookups — one per active state
+    and axis with a named edge out of it, plus a field load per wildcard
+    edge — independent of how many edges a state has (a topic-pinned
+    subscription set hangs hundreds of [//topicN] edges off the root).
+    An end element is O(1). Neither allocates, except the returned list
+    when payloads are accepted and the run's stack growing (amortized,
+    with the document's depth and active-state count). {!add} is O(prefix length), so building
+    a trie is linear in the total number of steps.
+
+    {b Stamps.} Each {!start_element} takes a fresh stamp from a
+    counter in the trie and marks the nodes it activates with it, which
+    is how a node reached by several edges is activated once. Stamps
+    never repeat, so any number of runs over one trie may be fed
+    interleaved on one thread and each reports what it would alone. The
+    counter and the marks are plain mutable fields: a trie must not be
+    walked from two domains at once ({!Query_set} sessions share their
+    trie, and the service broker's lock serializes them). *)
 
 type 'a t
 (** The shared trie. Grows by {!add}; never shrinks. *)

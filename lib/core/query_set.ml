@@ -2,15 +2,25 @@ type t = {
   mutable queries : (string * Query.t) list;
       (** registration order; names unique among live entries *)
   mutable version : int;
-      (** bumped by {!register}/{!unregister}; invalidates the gate cache *)
-  mutable gate_cache : gate_cache option;
+      (** bumped by {!register}/{!unregister}; invalidates the plan *)
+  mutable plan : plan option;
 }
 
-and gate_cache = {
-  gc_version : int;
-  gc_generation : int;  (** symbol-table generation the trie was built in *)
-  gc_trie : string Prefix_gate.t;  (** payloads are equivalence-class keys *)
-  gc_gated : (string, unit) Hashtbl.t;  (** class keys present in the trie *)
+(* The compacted sessions' class plan, a pure function of the registry
+   contents: equivalence classes numbered densely in first-appearance
+   order, so a session indexes its classes by an int and never hashes a
+   class key per document. *)
+and plan = {
+  p_version : int;
+  p_class_of : int array;  (** registration index -> class index *)
+  p_classes : Query.t array;  (** class index -> its first member's query *)
+  mutable p_gate : gate option;  (** built at the first gated start *)
+}
+
+and gate = {
+  g_generation : int;  (** symbol-table generation the trie was built in *)
+  g_trie : int Prefix_gate.t;  (** payloads are class indices *)
+  g_gated : bool array;  (** class index -> dormant behind the trie *)
 }
 
 let gauge_subscriptions =
@@ -62,7 +72,7 @@ let of_queries queries =
       Hashtbl.add seen name ())
     queries;
   Xaos_obs.Telemetry.set_gauge gauge_subscriptions (List.length queries);
-  { queries; version = 0; gate_cache = None }
+  { queries; version = 0; plan = None }
 
 let compile ?config pairs =
   (* accumulate every failing query: a large subscription set should need
@@ -97,13 +107,6 @@ let size t = List.length t.queries
 
 let mem t name = List.mem_assoc name t.queries
 
-let class_count t =
-  let keys = Hashtbl.create 16 in
-  List.iter
-    (fun (_, q) -> Hashtbl.replace keys (Query.class_key q) ())
-    t.queries;
-  Hashtbl.length keys
-
 let register t name q =
   if List.mem_assoc name t.queries then
     invalid_arg ("Query_set.register: duplicate name " ^ name);
@@ -120,38 +123,58 @@ let unregister t name =
   end
   else false
 
-(* The shared-prefix gate trie is a pure function of (registry contents,
-   symbol generation); rebuilt lazily when either moves. Only classes
-   every one of whose disjuncts has a safe prefix (see
-   {!Query.gate_prefixes}) enter the trie — the rest attach eagerly at
-   session start as before. *)
-let gate_for t =
+let plan_for t =
+  match t.plan with
+  | Some p when p.p_version = t.version -> p
+  | Some _ | None ->
+    let index = Hashtbl.create 64 in
+    let classes = ref [] in
+    let class_of =
+      Array.of_list
+        (List.map
+           (fun (_, q) ->
+             let key = Query.class_key q in
+             match Hashtbl.find_opt index key with
+             | Some c -> c
+             | None ->
+               let c = Hashtbl.length index in
+               Hashtbl.add index key c;
+               classes := q :: !classes;
+               c)
+           t.queries)
+    in
+    let p =
+      { p_version = t.version; p_class_of = class_of;
+        p_classes = Array.of_list (List.rev !classes); p_gate = None }
+    in
+    t.plan <- Some p;
+    p
+
+let class_count t = Array.length (plan_for t).p_classes
+
+(* The shared-prefix gate trie is a pure function of (plan, symbol
+   generation); rebuilt lazily when either moves. Only classes every one
+   of whose disjuncts has a safe prefix (see {!Query.gate_prefixes})
+   enter the trie — the rest attach eagerly at session start as before. *)
+let gate_for p =
   let generation = Xaos_xml.Symbol.generation () in
-  match t.gate_cache with
-  | Some gc when gc.gc_version = t.version && gc.gc_generation = generation ->
-    gc
+  match p.p_gate with
+  | Some g when g.g_generation = generation -> g
   | Some _ | None ->
     let trie = Prefix_gate.create () in
-    let gated = Hashtbl.create 16 in
-    let seen = Hashtbl.create 16 in
-    List.iter
-      (fun (_, q) ->
-        let key = Query.class_key q in
-        if not (Hashtbl.mem seen key) then begin
-          Hashtbl.add seen key ();
+    let gated =
+      Array.mapi
+        (fun c q ->
           match Query.gate_prefixes q with
-          | None -> ()
+          | None -> false
           | Some prefixes ->
-            List.iter (fun p -> Prefix_gate.add trie p key) prefixes;
-            Hashtbl.add gated key ()
-        end)
-      t.queries;
-    let gc =
-      { gc_version = t.version; gc_generation = generation; gc_trie = trie;
-        gc_gated = gated }
+            List.iter (fun prefix -> Prefix_gate.add trie prefix c) prefixes;
+            true)
+        p.p_classes
     in
-    t.gate_cache <- Some gc;
-    gc
+    let g = { g_generation = generation; g_trie = trie; g_gated = gated } in
+    p.p_gate <- Some g;
+    g
 
 type outcome = {
   query_name : string;
@@ -220,14 +243,14 @@ type run_state = {
 type session = {
   mode : dispatch;
   budget : int option;  (** applied to runs added mid-session too *)
-  compact : bool;
   mutable runs_rev : run_state list;  (** reverse creation order *)
   mutable members_rev : (member * run_state) list;
       (** reverse registration order — the outcome order *)
-  classes : (string, run_state) Hashtbl.t;
-      (** class key -> session-start class (mid-document {!add_run}s get
-          fresh singleton classes: joining an engine that has already
-          consumed events would leak results from before the join) *)
+  mutable classes : run_state array;
+      (** plan class index -> session-start class, empty when uncompacted
+          (mid-document {!add_run}s get fresh singleton classes: joining
+          an engine that has already consumed events would leak results
+          from before the join) *)
   mutable next_run_id : int;
   mutable buckets : (int, run_state) Hashtbl.t option array;
       (** indexed by interned symbol id: runs whose current looking-for
@@ -254,7 +277,7 @@ type session = {
           suppressed events do not shift the ids of reported items *)
   mutable live : int;  (** active engines: not aborted, not dormant *)
   mutable dormant : int;  (** gate-dormant classes (no engine yet) *)
-  mutable gate_run : string Prefix_gate.run option;
+  mutable gate_run : int Prefix_gate.run option;
       (** the shared-prefix walk; dropped once nothing is dormant *)
   mutable dispatched : int;
   mutable suppressed : int;
@@ -357,8 +380,8 @@ let refresh_text_interest s rs =
       else Hashtbl.remove s.text_interested rs.rs_id
     end
 
-(* Create a class shell (no engine yet) and its first member. *)
-let new_class s q name =
+(* Create a class shell: no engine and no member yet. *)
+let new_class s q =
   let rs =
     {
       rs_id = s.next_run_id;
@@ -376,14 +399,10 @@ let new_class s q name =
   in
   s.next_run_id <- s.next_run_id + 1;
   s.runs_rev <- rs :: s.runs_rev;
-  let m = { m_name = name; m_removed = false } in
-  rs.rs_members <- [ m ];
-  rs.rs_live_members <- 1;
-  s.members_rev <- (m, rs) :: s.members_rev;
   rs
 
-(* Fan a later duplicate subscription into an existing class. Only valid
-   before any event reached the engine (i.e. at session start): the
+(* Add a subscription to a class. Only valid before any event reached
+   the engine (at session start, or right after [new_class]): the
    class's results are the member's results exactly when they evaluate
    the same stream suffix. *)
 let join_class s rs name =
@@ -456,16 +475,14 @@ let start ?budget ?(dispatch = Shared) ?(compact = true) ?(gate = false)
   (* compaction (and the gate riding on it) only applies to shared
      dispatch: the naive loop is the uncompacted reference oracle *)
   let compact = compact && dispatch = Shared in
-  let gate = gate && compact in
-  let gc = if gate then Some (gate_for t) else None in
+  let plan = if compact then Some (plan_for t) else None in
   let s =
     {
       mode = dispatch;
       budget;
-      compact;
       runs_rev = [];
       members_rev = [];
-      classes = Hashtbl.create 16;
+      classes = [||];
       next_run_id = 0;
       buckets = Array.make (max 16 (Xaos_xml.Symbol.count ())) None;
       wildcard = Hashtbl.create 16;
@@ -483,31 +500,30 @@ let start ?budget ?(dispatch = Shared) ?(compact = true) ?(gate = false)
       on_item;
     }
   in
-  List.iter
-    (fun (name, q) ->
-      if compact then begin
-        let key = Query.class_key q in
-        match Hashtbl.find_opt s.classes key with
-        | Some rs -> join_class s rs name
-        | None ->
-          let rs = new_class s q name in
-          Hashtbl.add s.classes key rs;
-          let gated =
-            match gc with
-            | Some gc -> Hashtbl.mem gc.gc_gated key
-            | None -> false
-          in
-          if gated then s.dormant <- s.dormant + 1 else activate s rs
-      end
-      else begin
-        let rs = new_class s q name in
-        activate s rs
-      end)
-    t.queries;
-  (match gc with
-  | Some gc when s.dormant > 0 ->
-    s.gate_run <- Some (Prefix_gate.start gc.gc_trie)
-  | Some _ | None -> ());
+  (match plan with
+  | None ->
+    List.iter
+      (fun (name, q) ->
+        let rs = new_class s q in
+        join_class s rs name;
+        activate s rs)
+      t.queries
+  | Some p ->
+    s.classes <- Array.map (new_class s) p.p_classes;
+    List.iteri
+      (fun i (name, _) -> join_class s s.classes.(p.p_class_of.(i)) name)
+      t.queries;
+    let gated = if gate then Some (gate_for p) else None in
+    Array.iteri
+      (fun c rs ->
+        match gated with
+        | Some g when g.g_gated.(c) -> s.dormant <- s.dormant + 1
+        | Some _ | None -> activate s rs)
+      s.classes;
+    match gated with
+    | Some g when s.dormant > 0 ->
+      s.gate_run <- Some (Prefix_gate.start g.g_trie)
+    | Some _ | None -> ());
   let classes = List.length s.runs_rev in
   let members = List.length s.members_rev in
   Xaos_obs.Telemetry.set_gauge gauge_classes classes;
@@ -524,7 +540,9 @@ let add_run s name q =
   (* always a fresh singleton class: a mid-document join must see only
      the stream from here on, which an engine started earlier has
      already partially consumed *)
-  activate s (new_class s q name)
+  let rs = new_class s q in
+  join_class s rs name;
+  activate s rs
 
 let remove_run s name =
   match
@@ -566,16 +584,16 @@ let feed_shared s ev =
     | Some g -> (
       match Prefix_gate.start_element g sym with
       | [] -> ()
-      | keys ->
+      | accepted ->
         List.iter
-          (fun key ->
-            match Hashtbl.find_opt s.classes key with
-            | Some rs when rs.rs_run = None && not rs.rs_aborted ->
+          (fun c ->
+            let rs = s.classes.(c) in
+            if rs.rs_run = None && not rs.rs_aborted then begin
               s.dormant <- s.dormant - 1;
               Xaos_obs.Telemetry.incr counter_gate_activations;
               activate s rs
-            | Some _ | None -> ())
-          keys;
+            end)
+          accepted;
         if s.dormant = 0 then s.gate_run <- None));
     s.stamp <- s.stamp + 1;
     (* snapshot the interested runs before delivering: feeding a run can

@@ -29,6 +29,13 @@
       their prefixes. A document touching none of the prefixes never
       pays for those engines.
 
+    Compacted sessions share a {e class plan} computed once per registry
+    version: classes are numbered densely in first-appearance order, so
+    a session builds its classes from the plan without hashing class
+    keys. The gate trie is cached with the plan (rebuilt when the symbol
+    table is reset) and its payloads are those class indices: an
+    accepting element finds its dormant classes by array index.
+
     Outcomes are identical per subscription name to the {!Naive} loop on
     every document — the differential oracle the test suite exercises. *)
 

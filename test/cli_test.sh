@@ -179,6 +179,34 @@ set -e
 expect "report diff exits 1 on regression" "1" "$DIFF_CODE"
 code 3 "$XAOS" report diff "$WORK/no_such.json" "$WORK/run2.json"
 
+# throughput and speedups are higher-is-better: a drop beyond the
+# threshold fails the diff, a gain of any size passes it
+bench_report() { # bench_report <file> <docs_per_s> <speedup>
+  cat > "$1" <<EOF
+{"schema_version": 4, "kind": "bench", "created_at": 0, "config": {},
+ "stats": {"sustained/500/clean_docs_per_s": $2,
+           "compaction/1000/compacted_speedup": $3},
+ "spans": [], "snapshots": [], "tables": []}
+EOF
+}
+bench_report "$WORK/base.json" 100 4
+bench_report "$WORK/slow.json" 10 4
+bench_report "$WORK/fast.json" 2000 80
+bench_report "$WORK/dull.json" 100 0.4
+set +e
+OUT=$("$XAOS" report diff "$WORK/base.json" "$WORK/slow.json" --threshold-pct 50)
+SLOW_CODE=$?
+"$XAOS" report diff "$WORK/base.json" "$WORK/fast.json" --threshold-pct 50 > /dev/null
+FAST_CODE=$?
+"$XAOS" report diff "$WORK/base.json" "$WORK/dull.json" --threshold-pct 50 > /dev/null
+DULL_CODE=$?
+set -e
+expect "10x docs/s drop fails the diff" "1" "$SLOW_CODE"
+expect "the drop is the named regression" "1" \
+  "$(echo "$OUT" | grep -c '^REGRESSION.*clean_docs_per_s')"
+expect "20x docs/s and speedup gain passes the diff" "0" "$FAST_CODE"
+expect "10x speedup drop fails the diff" "1" "$DULL_CODE"
+
 # --- trace truncation message states the limit -------------------------------
 OUT=$("$XAOS" trace --limit 1 '//b' "$WORK/small.xml" | grep -c -- '--limit is 1, default 200')
 expect "trace truncation states current limit and default" "1" "$OUT"

@@ -858,6 +858,107 @@ let qcheck_compaction_chaos =
           pairs events naive);
       true)
 
+(* ------------------------------------------------------------------ *)
+(* Prefix-gate counters, pinned                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A topic-pinned set in the shape of the pubsub-selective benchmark:
+   200 subscriptions over 80 topic tags cycling through its five query
+   forms (duplicate draws share a class), so the gate keeps nearly every
+   class dormant. Documents are topic feeds with 6 sections each. *)
+let pinned_topic i = Printf.sprintf "topic%02d" i
+
+let pinned_pairs () =
+  let rng = Prng.create 0x9a7e in
+  List.init 200 (fun i ->
+      let t = pinned_topic (Prng.int rng 80) in
+      let q =
+        match i mod 5 with
+        | 0 -> Printf.sprintf "//%s/item" t
+        | 1 -> Printf.sprintf "/feed/channel/%s//name" t
+        | 2 -> Printf.sprintf "//%s//name" t
+        | 3 -> Printf.sprintf "//%s//name/parent::item" t
+        | _ -> Printf.sprintf "//%s/item[name]" t
+      in
+      (Printf.sprintf "s%d" i, q))
+
+let pinned_doc rng =
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf "<feed><channel>";
+  for _ = 1 to 6 do
+    let t = pinned_topic (Prng.int rng 80) in
+    Printf.bprintf buf "<%s>" t;
+    for i = 1 to 3 do
+      Printf.bprintf buf "<item><name>n%d</name></item>" i
+    done;
+    Printf.bprintf buf "</%s>" t
+  done;
+  Buffer.add_string buf "</channel></feed>";
+  Buffer.contents buf
+
+(* One line per document: dispatch and session counters, gate
+   activations (the telemetry counter's delta), and every outcome's
+   non-zero [delivered]. *)
+let pinned_counters t doc =
+  let activations =
+    Xaos_obs.Telemetry.counter "xaos_filter_gate_activations_total"
+  in
+  let before = Xaos_obs.Telemetry.counter_value activations in
+  let s = Query_set.start ~gate:true t in
+  let _, _, dormant_at_start = Query_set.session_stats s in
+  List.iter (Query_set.feed s) (events_of doc);
+  let dispatched, suppressed = Query_set.dispatch_stats s in
+  let classes, members, dormant = Query_set.session_stats s in
+  let activated = Xaos_obs.Telemetry.counter_value activations - before in
+  Alcotest.(check int) "activations = dormant drop" activated
+    (dormant_at_start - dormant);
+  let delivered =
+    List.filter_map
+      (fun (o : Query_set.outcome) ->
+        if o.delivered = 0 then None
+        else Some (Printf.sprintf "%s:%d" o.query_name o.delivered))
+      (Query_set.finish s)
+  in
+  Printf.sprintf
+    "dispatched=%d suppressed=%d classes=%d members=%d dormant=%d \
+     activations=%d delivered=%s"
+    dispatched suppressed classes members dormant activated
+    (String.concat "," delivered)
+
+let test_gate_counters_pinned () =
+  let was = Xaos_obs.Telemetry.enabled () in
+  Xaos_obs.Telemetry.enable ();
+  Fun.protect ~finally:(fun () ->
+      if not was then Xaos_obs.Telemetry.disable ())
+  @@ fun () ->
+  let t = compile_exn (pinned_pairs ()) in
+  let rng = Prng.create 0xfeed in
+  let docs = List.init 3 (fun _ -> pinned_doc rng) in
+  let first = List.map (pinned_counters t) docs in
+  (* a symbol reset forces the trie to be rebuilt; the counters must not
+     notice *)
+  Xaos_xml.Symbol.reset ();
+  let after_reset = List.map (pinned_counters t) docs in
+  Alcotest.(check (list string))
+    "pinned"
+    [
+      "dispatched=149 suppressed=166 classes=163 members=200 dormant=153 \
+       activations=10 \
+       delivered=s9:18,s14:18,s41:14,s47:14,s71:14,s91:14,s92:14,s97:14,\
+       s108:36,s131:14,s135:12,s148:36,s172:14,s178:30,s187:14";
+      "dispatched=198 suppressed=269 classes=163 members=200 dormant=148 \
+       activations=15 \
+       delivered=s38:36,s48:24,s52:14,s59:18,s74:18,s91:14,s104:18,s107:14,\
+       s135:12,s141:14,s144:18,s157:14,s161:14,s171:14,s177:14,s180:12";
+      "dispatched=132 suppressed=155 classes=163 members=200 dormant=154 \
+       activations=9 \
+       delivered=s14:18,s49:18,s80:12,s91:14,s92:14,s108:36,s109:18,\
+       s135:12,s148:36,s173:18";
+    ]
+    first;
+  Alcotest.(check (list string)) "same after a symbol reset" first
+    after_reset
+
 let suite =
   [
     Alcotest.test_case "item equal is id-based" `Quick
@@ -894,6 +995,7 @@ let suite =
     Alcotest.test_case "shared class remove_run mid-document" `Quick
       test_shared_class_remove_run_mid_document;
     Alcotest.test_case "gate differential" `Quick test_gate_differential;
+    Alcotest.test_case "gate counters pinned" `Quick test_gate_counters_pinned;
     Alcotest.test_case "fixed differential cases" `Quick
       test_fixed_differential_cases;
     Alcotest.test_case "partial differential" `Quick test_partial_differential;
