@@ -182,12 +182,19 @@ let close_client t c =
     (try Unix.close c.fd with Unix.Unix_error _ -> ());
     drain_notifies c
 
+(* A socket call interrupted by a signal is retried, never taken for a
+   dead peer: with SO_SNDTIMEO set, Linux fails a blocked send with
+   EINTR even after a bare SIGSTOP/SIGCONT (signal(7)), and dropping the
+   connection would unsubscribe a healthy client. *)
+let rec restart_on_eintr f x =
+  try f x with Unix.Unix_error (Unix.EINTR, _, _) -> restart_on_eintr f x
+
 let write_all fd s =
   let b = Bytes.unsafe_of_string s in
   let len = Bytes.length b in
   let rec go off =
     if off < len then begin
-      let n = Unix.write fd b off (len - off) in
+      let n = restart_on_eintr (Unix.write fd b off) (len - off) in
       go (off + n)
     end
   in
@@ -441,7 +448,7 @@ and reader_loop t c () =
     drain ()
   in
   let rec loop () =
-    match Unix.read c.fd chunk 0 (Bytes.length chunk) with
+    match restart_on_eintr (Unix.read c.fd chunk 0) (Bytes.length chunk) with
     | 0 -> ()
     | n ->
       Buffer.add_subbytes acc chunk 0 n;
@@ -578,7 +585,7 @@ and evaluator_loop t () =
 
 and accept_loop t () =
   let rec loop () =
-    match Unix.accept t.listen_fd with
+    match restart_on_eintr (fun fd -> Unix.accept fd) t.listen_fd with
     | exception Unix.Unix_error _ -> ()  (* listener closed: stopping *)
     | fd, _ ->
       Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.config.write_timeout_s;

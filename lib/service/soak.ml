@@ -108,11 +108,16 @@ let structure_budget = 96
 
 (* {1 Socket client plumbing} *)
 
+(* a signal-interrupted call is retried: it says nothing about the peer *)
+let rec restart_on_eintr f x =
+  try f x with Unix.Unix_error (Unix.EINTR, _, _) -> restart_on_eintr f x
+
 let write_all fd s =
   let b = Bytes.unsafe_of_string s in
   let len = Bytes.length b in
   let rec go off =
-    if off < len then go (off + Unix.write fd b off (len - off))
+    if off < len then
+      go (off + restart_on_eintr (Unix.write fd b off) (len - off))
   in
   go 0
 
@@ -141,7 +146,7 @@ let read_lines fd on_line =
     go 0
   in
   let rec loop () =
-    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    match restart_on_eintr (Unix.read fd chunk 0) (Bytes.length chunk) with
     | 0 -> ()
     | n ->
       Buffer.add_subbytes acc chunk 0 n;

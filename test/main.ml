@@ -17,7 +17,7 @@ let () =
       ("trace", Test_trace.suite);
       ("baseline", Test_baseline.suite);
       ("yfilter", Test_yfilter.suite);
-      ("prefix-gate", Test_prefix_gate.suite);
+      ("gate", Test_prefix_gate.suite);
       ("semantics", Test_semantics.suite);
       ("workloads", Test_workloads.suite);
       ("deepgen", Test_deepgen.suite);
