@@ -206,7 +206,16 @@ let start ?on_match ?budget q =
   in
   { engines; result = None }
 
-let feed run event = List.iter (fun e -> Engine.feed e event) run.engines
+(* Top-level loops rather than [List.iter (fun e -> ...)]: a closure
+   over the event (or a local loop capturing it) would be allocated on
+   every delivered event. *)
+let rec feed_engines event = function
+  | [] -> ()
+  | e :: rest ->
+    Engine.feed e event;
+    feed_engines event rest
+
+let feed run event = feed_engines event run.engines
 
 (* Interest aggregation across disjunct engines: the run is interested in
    a name iff any engine is, so per-engine transitions are counted and the
@@ -258,11 +267,21 @@ let subscribe_interest run (listener : Engine.interest_listener) =
 
 let wants_text run = List.exists Engine.wants_text run.engines
 
-let sync_next_id run id =
-  List.iter (fun e -> Engine.sync_next_id e id) run.engines
+let rec sync_engines id = function
+  | [] -> ()
+  | e :: rest ->
+    Engine.sync_next_id e id;
+    sync_engines id rest
 
-let set_stream_byte run b =
-  List.iter (fun e -> Engine.set_stream_byte e b) run.engines
+let sync_next_id run id = sync_engines id run.engines
+
+let rec set_engines_byte b = function
+  | [] -> ()
+  | e :: rest ->
+    Engine.set_stream_byte e b;
+    set_engines_byte b rest
+
+let set_stream_byte run b = set_engines_byte b run.engines
 
 let finish run =
   match run.result with

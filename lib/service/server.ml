@@ -399,25 +399,38 @@ and stats_stream_loop t c ~interval_s ~count () =
 
 and reader_loop t c () =
   let chunk = Bytes.create 65536 in
+  (* [acc] holds only the partial line carried over from earlier reads:
+     complete lines are cut straight out of [chunk], so a read copies
+     each line once and never the whole backlog. *)
   let acc = Buffer.create 4096 in
-  let process_lines () =
-    let s = Buffer.contents acc in
-    let len = String.length s in
-    let rec go start =
-      match String.index_from_opt s start '\n' with
-      | None ->
-        Buffer.clear acc;
-        Buffer.add_substring acc s start (len - start)
-      | Some nl ->
-        let line = String.sub s start (nl - start) in
-        if String.trim line <> "" then begin
-          match Protocol.request_of_line line with
-          | Ok req -> handle_request t c req
-          | Error e -> send t c (Protocol.error ~op:"parse" e)
-        end;
-        go (nl + 1)
-    in
-    go 0
+  let handle_line line =
+    if String.trim line <> "" then begin
+      match Protocol.request_of_line line with
+      | Ok req -> handle_request t c req
+      | Error e -> send t c (Protocol.error ~op:"parse" e)
+    end
+  in
+  let rec newline_in i n =
+    if i >= n then -1
+    else if Char.equal (Bytes.unsafe_get chunk i) '\n' then i
+    else newline_in (i + 1) n
+  in
+  let rec process_lines start n =
+    let nl = newline_in start n in
+    if nl < 0 then Buffer.add_subbytes acc chunk start (n - start)
+    else begin
+      let line =
+        if Buffer.length acc = 0 then Bytes.sub_string chunk start (nl - start)
+        else begin
+          Buffer.add_subbytes acc chunk start (nl - start);
+          let line = Buffer.contents acc in
+          Buffer.clear acc;
+          line
+        end
+      in
+      handle_line line;
+      process_lines (nl + 1) n
+    end
   in
   (* A partial line may legitimately span many reads (a client is free
      to write one byte at a time), but it may not grow without bound:
@@ -451,9 +464,7 @@ and reader_loop t c () =
     match restart_on_eintr (Unix.read c.fd chunk 0) (Bytes.length chunk) with
     | 0 -> ()
     | n ->
-      Buffer.add_subbytes acc chunk 0 n;
-      if Bytes.index_opt (Bytes.sub chunk 0 n) '\n' <> None then
-        process_lines ();
+      process_lines 0 n;
       if Buffer.length acc > t.config.max_line_bytes then overflow ()
       else loop ()
     | exception Unix.Unix_error _ -> ()

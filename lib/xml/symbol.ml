@@ -48,6 +48,42 @@ let intern s =
     Hashtbl.add table s id;
     id
 
+(* The slice cache: a direct-mapped table from a hash of the name's bytes
+   to the id last interned under that hash (4096 ints, 32 KB). A hit is
+   confirmed by comparing the slice with the canonical name, so a
+   collision only costs a miss; a miss interns a copy of the slice and
+   takes the slot. *)
+let cache_mask = 4095
+
+let cache = Array.make (cache_mask + 1) none
+
+let rec slice_hash buf i stop h =
+  if i >= stop then h
+  else
+    slice_hash buf (i + 1) stop
+      ((h lxor Char.code (Bytes.unsafe_get buf i)) * 16777619)
+
+let rec same_bytes buf off s i len =
+  i >= len
+  || Char.equal (Bytes.unsafe_get buf (off + i)) (String.unsafe_get s i)
+     && same_bytes buf off s (i + 1) len
+
+let intern_sub buf off len =
+  if off < 0 || len < 0 || off > Bytes.length buf - len then
+    invalid_arg "Symbol.intern_sub";
+  let h = slice_hash buf off (off + len) 0x811c9dc5 in
+  let slot = (h lxor (h lsr 21)) land cache_mask in
+  let id = Array.unsafe_get cache slot in
+  if id >= 0
+     && (let s = Array.unsafe_get !names id in
+         String.length s = len && same_bytes buf off s 0 len)
+  then id
+  else begin
+    let id = intern (Bytes.sub_string buf off len) in
+    Array.unsafe_set cache slot id;
+    id
+  end
+
 let find s = Hashtbl.find_opt table s
 
 let name id =
@@ -64,6 +100,7 @@ let generation () = !generation_counter
 
 let reset () =
   Hashtbl.reset table;
+  Array.fill cache 0 (Array.length cache) none;
   Bytes.fill !wild 0 !size '\000';
   Array.fill !names 0 !size "";
   size := 0;

@@ -28,6 +28,15 @@ val intern : string -> t
 (** Intern a name, returning its id. Idempotent within a generation:
     interning the same string twice returns the same id. *)
 
+val intern_sub : bytes -> int -> int -> t
+(** [intern_sub buf off len] is [intern (Bytes.sub_string buf off len)]
+    without the copy when the name was seen before: a small direct-mapped
+    cache, keyed by a hash of the slice and confirmed against the
+    canonical name, sits in front of the table, so a hit allocates
+    nothing. {!name} of the result is the canonical string shared by
+    every occurrence. The cache is emptied by {!reset}.
+    @raise Invalid_argument if the slice is not within [buf]. *)
+
 val find : string -> t option
 (** The id of an already-interned name, without interning it. *)
 

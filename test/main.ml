@@ -2,6 +2,7 @@ let () =
   Alcotest.run "xaos"
     [
       ("sax", Test_sax.suite);
+      ("sax-runs", Test_sax_runs.suite);
       ("symbol", Test_symbol.suite);
       ("dom", Test_dom.suite);
       ("serialize", Test_serialize.suite);
